@@ -142,9 +142,11 @@ class BenchTrajectory:
         }
 
     def write(self, path: str) -> str:
-        """Write the trajectory JSON; a directory path gets the
+        """Write the trajectory JSON.  A path not ending in ``.json`` is a
+        directory (created if missing) that gets the
         ``BENCH_<experiment>.json`` filename appended.  Returns the path."""
-        if os.path.isdir(path):
+        if os.path.isdir(path) or not path.endswith(".json"):
+            os.makedirs(path, exist_ok=True)
             path = os.path.join(path, f"BENCH_{self.experiment}.json")
         with open(path, "w", encoding="utf-8") as f:
             json.dump(self.to_dict(), f, indent=2, sort_keys=True)

@@ -19,9 +19,8 @@ from repro.core.engine import (
     QueryRequest,
     register_engine,
 )
-from repro.core.pipeline import STAGES, pipeline_report, run_pipeline
 from repro.core.snapshot import SnapshotManifest
-from repro.core.system import STAGE_DEPS, DiscoverySystem
+from repro.core.system import STAGE_DEPS, STAGES, DiscoverySystem
 
 __all__ = [
     "REGISTRY",
@@ -46,6 +45,4 @@ __all__ = [
     "Stage",
     "StageCycleError",
     "StageGraph",
-    "pipeline_report",
-    "run_pipeline",
 ]

@@ -7,7 +7,7 @@ Usage::
     python -m repro keyword   <lake_dir> --query "air quality" [-k 5]
     python -m repro join      <lake_dir> --table cities --column 0 [-k 5]
     python -m repro union     <lake_dir> --table cities [-k 5] [--method starmie]
-    python -m repro query     <lake_dir> --engine join --table cities
+    python -m repro query     <lake_dir> --engine josie --table cities
                               [--explain] [--load snapdir]
     python -m repro navigate  <lake_dir> --intent "city population"
     python -m repro domains   <lake_dir>
@@ -22,6 +22,11 @@ Usage::
 
 Every command ingests ``lake_dir`` (recursively, all ``*.csv``), runs the
 offline pipeline stages it needs, and prints results to stdout.
+
+``query --engine`` takes a search engine listed by ``repro engines``,
+``federated``, or a legacy name (:data:`LEGACY_ENGINES`); ``keyword``,
+``join`` and ``union`` are ``query`` with fewer options.  A command that
+fails exits non-zero with a one-line message.
 
 All commands accept ``-v/--verbose`` (repeatable: ``-v`` INFO, ``-vv``
 DEBUG, to stderr), ``--profile`` (print the tracing span tree and the
@@ -38,17 +43,51 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 
 from repro import obs
 from repro.bench.harness import BenchTrajectory, compare_trajectories
 from repro.core.config import DiscoveryConfig
-from repro.core.system import DiscoverySystem
+from repro.core.engine import FEDERATED_LABEL, REGISTRY, QueryRequest
+from repro.core.errors import DiscoveryError
+from repro.core.system import JOIN_METHODS, UNION_METHODS, DiscoverySystem
 from repro.datalake.lake import DataLake
 from repro.datalake.table import ColumnRef
 from repro.obs import METRICS, TRACER
 from repro.obs.server import ObservabilityServer
+from repro.search.explain import summarize_results
 
 log = obs.get_logger("core.cli")
+
+#: Legacy ``query --engine`` spellings -> registry engine.  A dict is keyed
+#: by ``--method``, its first key the default.
+LEGACY_ENGINES: dict[str, str | dict[str, str]] = {
+    "join": JOIN_METHODS,
+    "containment": "lshensemble",
+    "fuzzy": "pexeso",
+    "correlated": "qcr",
+    "union": UNION_METHODS,
+}
+
+#: ``query`` option defaults.  The ``keyword``, ``join`` and ``union``
+#: subcommands run as ``query`` and take these for the options they lack.
+QUERY_DEFAULTS = {
+    "query": None,
+    "table": None,
+    "column": 0,
+    "key_columns": "0",
+    "value_column": 1,
+    "method": None,
+    "explain": False,
+    "load": None,
+}
+
+
+def query_engines() -> list[str]:
+    """``query --engine`` choices: every registered search engine, the
+    federated dispatcher, and the legacy spellings."""
+    search = [c.name for c in REGISTRY.all() if c.category == "search"]
+    return [*search, FEDERATED_LABEL, *LEGACY_ENGINES]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,21 +164,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("keyword", help="metadata keyword search")
     lake_arg(p)
     p.add_argument("--query", required=True)
+    p.set_defaults(**QUERY_DEFAULTS, engine="keyword")
 
     p = sub.add_parser("join", help="joinable column search")
     lake_arg(p)
     p.add_argument("--table", required=True)
-    p.add_argument("--column", type=int, default=0)
-    p.add_argument(
-        "--method", choices=["exact", "containment"], default="exact"
-    )
+    p.add_argument("--column", type=int)
+    p.add_argument("--method", choices=list(JOIN_METHODS))
+    p.set_defaults(**QUERY_DEFAULTS, engine="join")
 
     p = sub.add_parser("union", help="unionable table search")
     lake_arg(p)
     p.add_argument("--table", required=True)
-    p.add_argument(
-        "--method", choices=["tus", "starmie"], default="starmie"
-    )
+    p.add_argument("--method", choices=["starmie", "tus"])
+    p.set_defaults(**QUERY_DEFAULTS, engine="union")
 
     p = sub.add_parser(
         "query",
@@ -150,32 +188,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--engine",
         required=True,
-        choices=[
-            "keyword",
-            "join",
-            "containment",
-            "fuzzy",
-            "mate",
-            "correlated",
-            "union",
-        ],
+        choices=query_engines(),
+        help="registered search engine, federated, or a legacy name",
     )
     p.add_argument("--query", help="keyword text (engine=keyword)")
     p.add_argument("--table", help="query table name (all other engines)")
-    p.add_argument("--column", type=int, default=0, help="query column index")
+    p.add_argument("--column", type=int, help="query column index")
     p.add_argument(
         "--key-columns",
-        default="0",
         help="comma-separated key column indexes (engine=mate)",
     )
     p.add_argument(
         "--value-column",
         type=int,
-        default=1,
-        help="numeric value column (engine=correlated)",
+        help="numeric value column (engine=qcr)",
     )
     p.add_argument(
-        "--method", default="starmie", help="union method (engine=union)"
+        "--method",
+        help="engine=join: exact|containment; engine=union: "
+        "starmie|tus|santos",
     )
     p.add_argument(
         "--explain",
@@ -189,6 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
         "`repro build --save`) instead of rebuilding the pipeline; the "
         "snapshot must match the lake or the query is refused",
     )
+    p.set_defaults(**QUERY_DEFAULTS)
 
     p = sub.add_parser("navigate", help="navigate the lake by intent")
     lake_arg(p)
@@ -416,8 +448,6 @@ def _run_profile(args, out) -> int:
 
 def _run_build(args, out) -> int:
     """The ``build`` subcommand: parallel offline build + snapshot save."""
-    from repro.core.pipeline import pipeline_report
-
     lake = DataLake.from_directory(args.lake_dir)
     config = DiscoveryConfig(
         enable_embeddings=not args.no_embeddings,
@@ -427,7 +457,13 @@ def _run_build(args, out) -> int:
     t0 = time.perf_counter()
     system = DiscoverySystem(lake, config).build(skip=set(args.skip))
     wall_ms = (time.perf_counter() - t0) * 1000
-    print(pipeline_report(system), file=out)
+    stats = system.stats
+    print(f"lake: {stats.tables} tables, {stats.columns} columns", file=out)
+    print(f"vocabulary: {stats.vocabulary} values", file=out)
+    if stats.domains_found:
+        print(f"domains discovered: {stats.domains_found}", file=out)
+    for stage, seconds in stats.stage_seconds.items():
+        print(f"  {stage:<18} {seconds * 1000:8.1f} ms", file=out)
     print(
         f"built in {wall_ms:.1f} ms wall with {config.build_jobs} job(s) "
         f"(peak stage concurrency "
@@ -446,69 +482,85 @@ def _run_build(args, out) -> int:
 
 
 def _run_query(args, out) -> int:
-    """The ``query`` subcommand: one online query, optionally EXPLAINed."""
-    from repro.core.errors import SnapshotError
-
-    engine = args.engine
+    """The ``query`` subcommand (and ``keyword``/``join``/``union``): one
+    online query through ``DiscoverySystem.query``, optionally EXPLAINed."""
+    name = _engine_name(args)
     if args.load:
         lake = DataLake.from_directory(args.lake_dir)
-        try:
-            system = DiscoverySystem.load(args.load, lake=lake)
-        except SnapshotError as exc:
-            raise SystemExit(f"cannot load snapshot: {exc}") from exc
+        system = DiscoverySystem.load(args.load, lake=lake)
     else:
-        need_embeddings = engine in ("fuzzy", "union")
-        system = _system(args.lake_dir, need_embeddings=need_embeddings)
-    explain = args.explain
-
-    def need_table():
-        if not args.table:
-            raise SystemExit(f"--table is required for engine={engine}")
-        return args.table
-
-    if engine == "keyword":
-        if not args.query:
-            raise SystemExit("--query is required for engine=keyword")
-        res = system.keyword_search(args.query, k=args.k, explain=explain)
-    elif engine in ("join", "containment"):
-        ref = ColumnRef(need_table(), args.column)
-        res = system.joinable_search(
-            ref,
-            k=args.k,
-            method="exact" if engine == "join" else "containment",
-            explain=explain,
-        )
-    elif engine == "fuzzy":
-        ref = ColumnRef(need_table(), args.column)
-        res = system.fuzzy_joinable_search(ref, k=args.k, explain=explain)
-    elif engine == "mate":
-        table = system.lake.table(need_table())
-        key_cols = [int(c) for c in args.key_columns.split(",") if c != ""]
-        res = system.multi_attribute_search(
-            table, key_cols, k=args.k, explain=explain
-        )
-    elif engine == "correlated":
-        res = system.correlated_search(
-            need_table(),
-            args.column,
-            args.value_column,
-            k=args.k,
-            explain=explain,
-        )
-    else:  # union
-        res = system.unionable_search(
-            need_table(), k=args.k, method=args.method, explain=explain
-        )
-
-    if explain:
-        hits, report = res
+        embeddings = _needs_embeddings(name)
+        system = _system(args.lake_dir, need_embeddings=embeddings)
+    request = _request(args, system.lake)
+    if name == FEDERATED_LABEL:
+        query = args.table or args.query
+        if query is None:
+            raise SystemExit(f"--table or --query is required for {name}")
+        hits, report = system.search(query, k=args.k), None
+    else:
+        engine = system.engines[name]
+        if not engine.accepts(request):
+            raise SystemExit(
+                f"{_missing_flag(engine, request)} is required for "
+                f"engine={args.engine}"
+            )
+        res = system.query(name, request)
+        hits, report = res if request.explain else (res, None)
+    if report is not None:
         print(report.render(), file=out)
     else:
-        from repro.search.explain import summarize_results
-
-        for ident, score in summarize_results(res):
+        for ident, score in summarize_results(hits, limit=len(hits)):
             print(f"{ident}\t{score:.3f}", file=out)
     return 0
+
+
+def _engine_name(args) -> str:
+    """The registry engine (or ``federated``) a query command names."""
+    alias = LEGACY_ENGINES.get(args.engine, args.engine)
+    if isinstance(alias, str):
+        return alias
+    method = args.method or next(iter(alias))
+    if method not in alias:
+        raise SystemExit(
+            f"unknown {args.engine} method {method!r}; "
+            f"choose from {', '.join(alias)}"
+        )
+    return alias[method]
+
+
+def _needs_embeddings(name: str) -> bool:
+    """Whether serving ``name`` needs the embedding stage (federated asks
+    every registered engine)."""
+    classes = [REGISTRY.get(name)] if name in REGISTRY else REGISTRY.all()
+    return any("embeddings" in cls.depends_on for cls in classes)
+
+
+def _request(args, lake: DataLake) -> QueryRequest:
+    """One request carrying every input the options give; each engine
+    reads the fields it understands."""
+    table = lake.table(args.table) if args.table else None
+    return QueryRequest(
+        k=args.k,
+        text=args.query,
+        table=table,
+        column=lake.column(ColumnRef(args.table, args.column))
+        if table
+        else None,
+        exclude_table=args.table,
+        key_columns=tuple(
+            int(c) for c in args.key_columns.split(",") if c != ""
+        ),
+        key_column=args.column,
+        value_column=args.value_column,
+        explain=args.explain,
+    )
+
+
+def _missing_flag(engine, request: QueryRequest) -> str:
+    """The option whose absence makes ``engine`` refuse ``request``."""
+    if engine.accepts(replace(request, text="?")):
+        return "--query"
+    return "--table" if request.table is None else "--key-columns"
 
 
 def _run_serve_metrics(args, out) -> int:
@@ -560,53 +612,40 @@ def _run_bench(args, out) -> int:
     system = DiscoverySystem(lake, config).build()
     traj.add("pipeline.build", (time.perf_counter() - t0) * 1000)
 
-    names = system.lake.table_names()
-    table = system.lake.table(names[0])
-    text_cols = [i for i, _ in table.text_columns()]
-    num_cols = [i for i, _ in table.numeric_columns()]
-    kw = " ".join(table.header[:2]) or "data"
-    cases = [("query.keyword", lambda: system.keyword_search(kw, k=5))]
-    if text_cols:
-        ref = ColumnRef(table.name, text_cols[0])
-        cases += [
-            ("query.join.exact", lambda: system.joinable_search(ref, k=5)),
-            (
-                "query.join.containment",
-                lambda: system.joinable_search(ref, k=5, method="containment"),
-            ),
-            (
-                "query.fuzzy_join",
-                lambda: system.fuzzy_joinable_search(ref, k=5),
-            ),
-            (
-                "query.multi_attribute",
-                lambda: system.multi_attribute_search(
-                    table, [text_cols[0]], k=5
-                ),
-            ),
-        ]
-        if num_cols:
-            cases.append(
-                (
-                    "query.correlated",
-                    lambda: system.correlated_search(
-                        table.name, text_cols[0], num_cols[0], k=5
-                    ),
-                )
-            )
-    cases += [
-        (
-            "query.union.starmie",
-            lambda: system.unionable_search(table.name, k=5),
-        ),
-        (
-            "query.union.tus",
-            lambda: system.unionable_search(table.name, k=5, method="tus"),
-        ),
-    ]
-    for name, fn in cases:
+    # One request carrying every input the first table offers; each case
+    # runs when its engine accepts it.
+    table = system.lake.table(system.lake.table_names()[0])
+    key = next((i for i, _ in table.text_columns()), None)
+    value = next((i for i, _ in table.numeric_columns()), None)
+    request = QueryRequest(
+        k=5,
+        text=" ".join(table.header[:2]) or "data",
+        table=table,
+        column=None if key is None else table.columns[key],
+        exclude_table=table.name,
+        key_columns=None if key is None else (key,),
+        key_column=key,
+        value_column=value,
+    )
+    cases = {
+        "query.keyword": "keyword",
+        "query.join.exact": "josie",
+        "query.join.containment": "lshensemble",
+        "query.fuzzy_join": "pexeso",
+        "query.multi_attribute": "mate",
+        "query.correlated": "qcr",
+        "query.union.starmie": "starmie",
+        "query.union.tus": "tus",
+    }
+    for name, engine in cases.items():
+        if not system.engines[engine].accepts(request):
+            continue
         try:
-            stats = traj.add_timed(name, fn, repeat=args.repeat)
+            stats = traj.add_timed(
+                name,
+                lambda: system.query(engine, request),
+                repeat=args.repeat,
+            )
             log.info("bench %s: %.3f ms", name, stats["latency_ms"])
         except Exception as exc:
             log.warning("bench %s skipped: %s", name, exc)
@@ -741,84 +780,54 @@ def _run_bench_compare(args, out) -> int:
     return 0 if cmp.ok else 1
 
 
-def _run(args, out) -> int:
-    if args.command == "stats":
-        lake = DataLake.from_directory(args.lake_dir)
-        for key, value in lake.stats().items():
-            print(f"{key:>8}: {value}", file=out)
-        return 0
+def _run_stats(args, out) -> int:
+    """The ``stats`` subcommand: lake statistics, no pipeline."""
+    lake = DataLake.from_directory(args.lake_dir)
+    for key, value in lake.stats().items():
+        print(f"{key:>8}: {value}", file=out)
+    return 0
 
-    if args.command == "build":
-        return _run_build(args, out)
 
-    if args.command == "profile":
-        return _run_profile(args, out)
+def _run_navigate(args, out) -> int:
+    """The ``navigate`` subcommand: tables at the node reached by intent."""
+    system = _system(args.lake_dir, need_embeddings=True)
+    for name in system.navigate(args.intent):
+        print(name, file=out)
+    return 0
 
-    if args.command == "query":
-        return _run_query(args, out)
 
-    if args.command == "serve-metrics":
-        return _run_serve_metrics(args, out)
-
-    if args.command == "bench":
-        return _run_bench(args, out)
-
-    if args.command == "bench-compare":
-        return _run_bench_compare(args, out)
-
-    if args.command == "slo":
-        return _run_slo(args, out)
-
-    if args.command == "inspect":
-        return _run_inspect(args, out)
-
-    if args.command == "engines":
-        return _run_engines(args, out)
-
-    if args.command == "top":
-        return _run_top(args, out)
-
-    if args.command == "keyword":
-        system = _system(args.lake_dir, need_embeddings=False)
-        for hit in system.keyword_search(args.query, k=args.k):
-            print(f"{hit.table}\t{hit.score:.3f}", file=out)
-        return 0
-
-    if args.command == "join":
-        system = _system(args.lake_dir, need_embeddings=False)
-        ref = ColumnRef(args.table, args.column)
-        for res in system.joinable_search(ref, k=args.k, method=args.method):
-            print(f"{res.ref}\t{res.score:.3f}", file=out)
-        return 0
-
-    if args.command == "union":
-        system = _system(
-            args.lake_dir, need_embeddings=args.method == "starmie"
+def _run_domains(args, out) -> int:
+    """The ``domains`` subcommand: the discovered value domains."""
+    system = _system(args.lake_dir, need_embeddings=False, domains=True)
+    for i, domain in enumerate(system.domains[: args.k]):
+        sample = ", ".join(sorted(domain.values)[:5])
+        print(
+            f"domain {i}: {len(domain)} values "
+            f"({len(domain.columns)} columns) e.g. {sample}",
+            file=out,
         )
-        for res in system.unionable_search(
-            args.table, k=args.k, method=args.method
-        ):
-            print(f"{res.table}\t{res.score:.3f}", file=out)
-        return 0
+    return 0
 
-    if args.command == "navigate":
-        system = _system(args.lake_dir, need_embeddings=True)
-        for name in system.navigate(args.intent):
-            print(name, file=out)
-        return 0
 
-    if args.command == "domains":
-        system = _system(args.lake_dir, need_embeddings=False, domains=True)
-        for i, domain in enumerate(system.domains[: args.k]):
-            sample = ", ".join(sorted(domain.values)[:5])
-            print(
-                f"domain {i}: {len(domain)} values "
-                f"({len(domain.columns)} columns) e.g. {sample}",
-                file=out,
-            )
-        return 0
-
-    return 1  # pragma: no cover - argparse enforces valid commands
+#: subcommand -> its runner
+COMMANDS = {
+    "stats": _run_stats,
+    "build": _run_build,
+    "keyword": _run_query,
+    "join": _run_query,
+    "union": _run_query,
+    "query": _run_query,
+    "navigate": _run_navigate,
+    "domains": _run_domains,
+    "profile": _run_profile,
+    "serve-metrics": _run_serve_metrics,
+    "bench": _run_bench,
+    "bench-compare": _run_bench_compare,
+    "slo": _run_slo,
+    "inspect": _run_inspect,
+    "engines": _run_engines,
+    "top": _run_top,
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -836,7 +845,9 @@ def main(argv: list[str] | None = None) -> int:
         obs.reset()
         obs.enable_tracing()
     try:
-        return _run(args, out)
+        return COMMANDS[args.command](args, out)
+    except DiscoveryError as exc:
+        raise SystemExit(f"repro {args.command}: {exc}") from exc
     finally:
         if capturing:
             obs.disable_tracing()

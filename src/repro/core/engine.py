@@ -154,6 +154,14 @@ class Engine(ABC):
     ``kind`` / ``items_key``
         Introspection: the index family shown by ``repro inspect`` and the
         ``stats()`` key holding the primary cardinality.
+    ``unavailable``
+        Why the engine stays unbuilt although its stage ran (its build is
+        a no-op without some input, e.g. ``"embeddings disabled"``);
+        empty means the stage itself did not run.
+
+    An engine whose state is one index object stores it in ``_index`` from
+    ``build`` and inherits the rest: ``is_built``, ``raw``, ``stats`` (the
+    index's own) and the snapshot payload are all that object.
     """
 
     name: ClassVar[str]
@@ -163,9 +171,11 @@ class Engine(ABC):
     query_label: ClassVar[str] = ""
     kind: ClassVar[str] = ""
     items_key: ClassVar[str | None] = None
+    unavailable: ClassVar[str] = ""
 
     def __init__(self) -> None:
         self.ctx: EngineContext | None = None
+        self._index: Any = None
 
     # -- offline -----------------------------------------------------------------
     @abstractmethod
@@ -173,14 +183,14 @@ class Engine(ABC):
         """Build this engine's index over ``ctx.lake``.  Must be a no-op
         (leaving the engine unbuilt) when its inputs are unavailable."""
 
-    @abstractmethod
     def is_built(self) -> bool:
         """Whether this engine can serve queries right now."""
+        return self._index is not None
 
     # -- introspection -----------------------------------------------------------
-    @abstractmethod
     def stats(self) -> dict:
         """Structural introspection numbers (JSON-serializable)."""
+        return self._index.stats()
 
     def items(self, stats: dict) -> int:
         """Primary cardinality for ``index_stats`` (from ``stats()``)."""
@@ -200,7 +210,7 @@ class Engine(ABC):
     @property
     def raw(self) -> Any:
         """The underlying index object (or ``None`` before ``build``)."""
-        return None
+        return self._index
 
     def accepts(self, request: QueryRequest) -> bool:
         """Whether ``request`` carries enough input for this engine."""
@@ -213,13 +223,14 @@ class Engine(ABC):
         raise LakeError(f"engine {self.name!r} does not serve queries")
 
     # -- snapshots ---------------------------------------------------------------
-    @abstractmethod
     def to_payload(self) -> Any:
         """Pickle-ready state for the snapshot payload."""
+        return self._index
 
-    @abstractmethod
     def from_payload(self, payload: Any, ctx: EngineContext) -> None:
         """Restore the state produced by :meth:`to_payload`."""
+        self.ctx = ctx
+        self._index = payload
 
     # -- description -------------------------------------------------------------
     def describe(self) -> dict[str, Any]:

@@ -8,18 +8,20 @@ unionable), Navigation Support, and Data Science / Application Support.
 
 Every search method lives behind the :mod:`repro.core.engine` protocol:
 the offline stage DAG, the per-engine snapshot payloads, the
-``index_stats()`` introspection, and the ``repro engines`` listing are all
-derived from the :data:`~repro.core.engine.REGISTRY` rather than wired by
-hand.  The classic ``keyword_search`` / ``joinable_search`` / ... methods
-remain as thin facade shims with their historical signatures and results;
-:meth:`DiscoverySystem.search` is the registry-native federated entry
-point that fans one request across engines and merges the rankings.
+``index_stats()`` introspection, the ``repro engines`` listing, and the
+online query path are all derived from the
+:data:`~repro.core.engine.REGISTRY` rather than wired by hand.
+:meth:`DiscoverySystem.query` serves one :class:`QueryRequest` with one
+registered engine; the classic ``keyword_search`` / ``joinable_search`` /
+... methods only normalize their historical arguments into a request for
+it, and :meth:`DiscoverySystem.search` fans one request across engines
+and merges the rankings.
 
 Offline: ``build()`` runs the understanding + indexing pipeline.
-Online: ``keyword_search``, ``joinable_search``, ``unionable_search``,
-``correlated_search``, ``fuzzy_joinable_search``, ``multi_attribute_search``,
-``search`` (federated), ``navigate`` / ``organization``,
-``related_columns``, ``augment_for_ml``.
+Online: ``query``, ``keyword_search``, ``joinable_search``,
+``unionable_search``, ``correlated_search``, ``fuzzy_joinable_search``,
+``multi_attribute_search``, ``search`` (federated), ``navigate`` /
+``organization``, ``related_columns``, ``augment_for_ml``.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from repro.core.dag import Stage, StageGraph
 from repro.core.engine import (
     FEDERATED_LABEL,
     REGISTRY,
+    Engine,
     EngineContext,
     FederatedHit,
     QueryRequest,
@@ -62,6 +65,12 @@ STAGES: tuple[str, ...] = REGISTRY.stage_names()
 #: engines' ``depends_on`` declarations (embeddings feed the union indexes
 #: and navigation; annotation feeds SANTOS inside union_index).
 STAGE_DEPS: dict[str, tuple[str, ...]] = REGISTRY.stage_deps()
+
+#: ``method=`` names of :meth:`DiscoverySystem.joinable_search` and
+#: :meth:`DiscoverySystem.unionable_search` -> the registry engine serving
+#: each (the first is the default).
+JOIN_METHODS = {"exact": "josie", "containment": "lshensemble"}
+UNION_METHODS = {"starmie": "starmie", "tus": "tus", "santos": "santos"}
 
 #: Reciprocal-rank-fusion constant for federated result merging (the
 #: standard k=60 from the Cormack/Clarke/Buettcher RRF paper).
@@ -141,48 +150,6 @@ class DiscoverySystem:
         self.skipped_stages: set[str] = set()
         #: Where the built state came from: a live build or a snapshot.
         self.provenance: dict = {}
-
-    # -- legacy views over the engine adapters (facade back-compat) -----------------
-
-    @property
-    def _keyword(self):
-        return self.engines["keyword"].raw
-
-    @property
-    def _joinable(self):
-        return self.engines["josie"].raw
-
-    @property
-    def _tus(self):
-        return self.engines["tus"].raw
-
-    @property
-    def _starmie(self):
-        return self.engines["starmie"].raw
-
-    @property
-    def _santos(self):
-        return self.engines["santos"].raw
-
-    @property
-    def _correlated(self):
-        return self.engines["qcr"].raw
-
-    @property
-    def _pexeso(self):
-        return self.engines["pexeso"].raw
-
-    @property
-    def _mate(self):
-        return self.engines["mate"].raw
-
-    @property
-    def _org(self):
-        return self.engines["organization"].organization
-
-    @property
-    def _table_vectors(self) -> dict:
-        return self.engines["organization"].table_vectors
 
     def _configure_sampler(self) -> None:
         """Apply this config's trace-sampling knobs to the process-wide
@@ -332,17 +299,6 @@ class DiscoverySystem:
                 "DiscoverySystem is not built yet: call build() first"
             )
 
-    def _require_engine(self, obj, stage: str, unavailable: str):
-        """Return a built engine, or raise a clear :class:`LakeError`
-        naming the skipped stage (never an ``AttributeError`` on None)."""
-        if obj is not None:
-            return obj
-        if stage in self.skipped_stages:
-            raise LakeError(
-                f"stage {stage!r} was skipped at build time: {unavailable}"
-            )
-        raise LakeError(f"stage {stage!r} did not run: {unavailable}")
-
     # -- snapshots ---------------------------------------------------------------------
 
     def save(self, directory):
@@ -461,24 +417,79 @@ class DiscoverySystem:
 
     # -- online: table search engine ---------------------------------------------------
 
+    def _engine(self, name: str) -> Engine:
+        """The built engine ``name``, or the one :class:`LakeError` saying
+        why it cannot serve: no build yet, its stage skipped at build time,
+        or an input it needs missing (:attr:`Engine.unavailable`)."""
+        self._require_built()
+        engine = self.engines.get(name)
+        if engine is None:
+            raise ValueError(
+                f"unknown engine {name!r}; registered: {sorted(self.engines)}"
+            )
+        if engine.is_built():
+            return engine
+        stage = engine.stage
+        if stage in self.skipped_stages:
+            reason = f"stage {stage!r} was skipped at build time"
+        else:
+            reason = engine.unavailable or f"stage {stage!r} did not run"
+        raise LakeError(f"{reason}: {name} unavailable")
+
+    def query(
+        self,
+        name: str,
+        request: QueryRequest,
+        query_repr: str = "",
+        **span_attrs,
+    ):
+        """Serve ``request`` with the registered engine ``name``: the one
+        online query path behind every ``*_search`` method and the CLI.
+
+        The query is recorded under the engine's ``query_label`` (span
+        ``query.<label>`` carrying ``span_attrs`` and ``k``, latency
+        metrics, and a query-log record showing ``query_repr``).  Returns
+        the hits, or ``(hits, ExplainReport)`` when ``request.explain`` is
+        set.  Raises :class:`LakeError` when the engine cannot serve.
+        """
+        engine = self._engine(name)
+        with self._query_span(
+            engine.query_label, query_repr, **span_attrs, k=request.k
+        ) as q:
+            hits, report = engine.query(request)
+            q.finish(hits, report)
+        return (hits, report) if request.explain else hits
+
+    def _method_engine(
+        self, methods: dict[str, str], method: str, label: str
+    ) -> str:
+        """The engine serving ``method``.  An unknown method is a failed
+        ``label`` query: logged as an error, then raised."""
+        if method in methods:
+            return methods[method]
+        with self._query_span(label, method=method):
+            raise ValueError(f"unknown {label} method {method!r}")
+
+    def _column_input(
+        self, column: Column | ColumnRef
+    ) -> tuple[Column, str | None, str]:
+        """A column argument as ``(column, exclude_table, query_repr)``: a
+        :class:`ColumnRef` resolves to its column and excludes its table."""
+        if isinstance(column, ColumnRef):
+            return self.lake.column(column), column.table, str(column)
+        return column, None, f"column<{getattr(column, 'name', '?')}>"
+
     def keyword_search(self, query: str, k: int = 10, explain: bool = False):
         """Metadata keyword search (§2.3).
 
         With ``explain=True`` returns ``(hits, ExplainReport)``.
         """
-        self._require_built()
-        engine = self.engines["keyword"]
-        self._require_engine(
-            engine.raw, "keyword_index", "keyword search unavailable"
+        return self.query(
+            "keyword",
+            QueryRequest(text=query, k=k, explain=explain),
+            query_repr=query,
+            query=query,
         )
-        with self._query_span(
-            engine.query_label, query_repr=query, query=query, k=k
-        ) as q:
-            hits, report = engine.query(
-                QueryRequest(text=query, k=k, explain=explain)
-            )
-            q.finish(hits, report)
-        return (hits, report) if explain else hits
 
     def joinable_search(
         self,
@@ -493,38 +504,20 @@ class DiscoverySystem:
 
         With ``explain=True`` returns ``(hits, ExplainReport)``.
         """
-        self._require_built()
-        self._require_engine(
-            self.engines["josie"].raw,
-            "join_index",
-            "joinable search unavailable",
+        name = self._method_engine(JOIN_METHODS, method, "join")
+        column, exclude, query_repr = self._column_input(column)
+        return self.query(
+            name,
+            QueryRequest(
+                column=column,
+                k=k,
+                exclude_table=exclude,
+                threshold=threshold,
+                explain=explain,
+            ),
+            query_repr=query_repr,
+            method=method,
         )
-        exclude = None
-        query_repr = f"column<{getattr(column, 'name', '?')}>"
-        if isinstance(column, ColumnRef):
-            exclude = column.table
-            query_repr = str(column)
-            column = self.lake.column(column)
-        with self._query_span(
-            "join", query_repr=query_repr, method=method, k=k
-        ) as q:
-            if method == "exact":
-                engine = self.engines["josie"]
-            elif method == "containment":
-                engine = self.engines["lshensemble"]
-            else:
-                raise ValueError(f"unknown join method {method!r}")
-            hits, report = engine.query(
-                QueryRequest(
-                    column=column,
-                    k=k,
-                    exclude_table=exclude,
-                    threshold=threshold,
-                    explain=explain,
-                )
-            )
-            q.finish(hits, report)
-        return (hits, report) if explain else hits
 
     def fuzzy_joinable_search(
         self, column: Column | ColumnRef, k: int = 10, explain: bool = False
@@ -533,31 +526,14 @@ class DiscoverySystem:
 
         With ``explain=True`` returns ``(hits, ExplainReport)``.
         """
-        self._require_built()
-        engine = self.engines["pexeso"]
-        if not engine.is_built():
-            if "union_index" in self.skipped_stages:
-                raise LakeError(
-                    "stage 'union_index' was skipped at build time: "
-                    "fuzzy join unavailable"
-                )
-            raise LakeError("embeddings disabled: fuzzy join unavailable")
-        exclude = None
-        query_repr = f"column<{getattr(column, 'name', '?')}>"
-        if isinstance(column, ColumnRef):
-            exclude = column.table
-            query_repr = str(column)
-            column = self.lake.column(column)
-        with self._query_span(
-            engine.query_label, query_repr=query_repr, k=k
-        ) as q:
-            hits, report = engine.query(
-                QueryRequest(
-                    column=column, k=k, exclude_table=exclude, explain=explain
-                )
-            )
-            q.finish(hits, report)
-        return (hits, report) if explain else hits
+        column, exclude, query_repr = self._column_input(column)
+        return self.query(
+            "pexeso",
+            QueryRequest(
+                column=column, k=k, exclude_table=exclude, explain=explain
+            ),
+            query_repr=query_repr,
+        )
 
     def multi_attribute_search(
         self,
@@ -570,27 +546,17 @@ class DiscoverySystem:
 
         With ``explain=True`` returns ``(hits, ExplainReport)``.
         """
-        self._require_built()
-        engine = self.engines["mate"]
-        self._require_engine(
-            engine.raw, "mate_index", "multi-attribute search unavailable"
-        )
-        with self._query_span(
-            engine.query_label,
+        return self.query(
+            "mate",
+            QueryRequest(
+                table=query,
+                key_columns=tuple(key_columns),
+                k=k,
+                explain=explain,
+            ),
             query_repr=f"{query.name}{key_columns}",
             key_columns=tuple(key_columns),
-            k=k,
-        ) as q:
-            hits, report = engine.query(
-                QueryRequest(
-                    table=query,
-                    key_columns=tuple(key_columns),
-                    k=k,
-                    explain=explain,
-                )
-            )
-            q.finish(hits, report)
-        return (hits, report) if explain else hits
+        )
 
     def unionable_search(
         self,
@@ -603,44 +569,16 @@ class DiscoverySystem:
 
         With ``explain=True`` returns ``(hits, ExplainReport)``.
         """
-        self._require_built()
+        name = self._method_engine(UNION_METHODS, method, "union")
         if isinstance(query, str):
             query = self.lake.table(query)
-        with self._query_span(
-            "union", query_repr=query.name, method=method, table=query.name, k=k
-        ) as q:
-            if method == "tus":
-                engine = self.engines["tus"]
-                self._require_engine(
-                    engine.raw, "union_index", "TUS unavailable"
-                )
-            elif method == "santos":
-                engine = self.engines["santos"]
-                if not engine.is_built():
-                    if "union_index" in self.skipped_stages:
-                        raise LakeError(
-                            "stage 'union_index' was skipped at build "
-                            "time: SANTOS unavailable"
-                        )
-                    raise LakeError("no ontology: SANTOS unavailable")
-            elif method == "starmie":
-                engine = self.engines["starmie"]
-                if not engine.is_built():
-                    if "union_index" in self.skipped_stages:
-                        raise LakeError(
-                            "stage 'union_index' was skipped at build "
-                            "time: Starmie unavailable"
-                        )
-                    raise LakeError(
-                        "embeddings disabled: Starmie unavailable"
-                    )
-            else:
-                raise ValueError(f"unknown union method {method!r}")
-            hits, report = engine.query(
-                QueryRequest(table=query, k=k, explain=explain)
-            )
-            q.finish(hits, report)
-        return (hits, report) if explain else hits
+        return self.query(
+            name,
+            QueryRequest(table=query, k=k, explain=explain),
+            query_repr=query.name,
+            method=method,
+            table=query.name,
+        )
 
     def correlated_search(
         self,
@@ -654,32 +592,20 @@ class DiscoverySystem:
 
         With ``explain=True`` returns ``(hits, ExplainReport)``.
         """
-        self._require_built()
         if isinstance(query, str):
             query = self.lake.table(query)
-        engine = self.engines["qcr"]
-        self._require_engine(
-            engine.raw,
-            "correlation_index",
-            "correlated search unavailable",
-        )
-        with self._query_span(
-            engine.query_label,
+        return self.query(
+            "qcr",
+            QueryRequest(
+                table=query,
+                key_column=key_column,
+                value_column=value_column,
+                k=k,
+                explain=explain,
+            ),
             query_repr=f"{query.name}[{key_column},{value_column}]",
             table=query.name,
-            k=k,
-        ) as q:
-            hits, report = engine.query(
-                QueryRequest(
-                    table=query,
-                    key_column=key_column,
-                    value_column=value_column,
-                    k=k,
-                    explain=explain,
-                )
-            )
-            q.finish(hits, report)
-        return (hits, report) if explain else hits
+        )
 
     # -- online: federated dispatch ----------------------------------------------------
 
@@ -773,35 +699,19 @@ class DiscoverySystem:
 
     def organization(self) -> Organization:
         """The lake-wide navigation hierarchy (§2.6)."""
-        self._require_built()
-        if self._org is None:
-            if "navigation" in self.skipped_stages:
-                raise LakeError(
-                    "stage 'navigation' was skipped at build time: "
-                    "navigation unavailable"
-                )
-            raise LakeError("embeddings disabled: navigation unavailable")
-        return self._org
+        return self._engine("organization").raw
 
     def navigate(self, intent_text: str) -> list[str]:
         """Navigate the organization toward free-text intent; returns the
         tables at the reached node."""
-        self._require_built()
-        engine = self.engines["organization"]
-        if not engine.is_built() or self.space is None:
-            if "navigation" in self.skipped_stages:
-                raise LakeError(
-                    "stage 'navigation' was skipped at build time: "
-                    "navigation unavailable"
-                )
-            raise LakeError("embeddings disabled: navigation unavailable")
+        engine = self._engine("organization")
         tables, _ = engine.query(QueryRequest(text=intent_text))
         return tables
 
     def explore_results(self, tables: list[str]) -> Organization:
         """RONIN-style online organization of a search result set (§2.6)."""
-        self._require_built()
-        return RoninExplorer(self._table_vectors).organize_results(tables)
+        vectors = self._engine("organization").table_vectors
+        return RoninExplorer(vectors).organize_results(tables)
 
     def knowledge_graph(self) -> EnterpriseKnowledgeGraph:
         """Aurum-style EKG over the lake, built lazily (§2.6)."""

@@ -23,14 +23,14 @@ class JaccardLshEngine(JoinIndexEngine):
     items_key = "keys"
 
     def stats(self) -> dict:
-        return self._search.jaccard_lsh.stats()
+        return self._index.jaccard_lsh.stats()
 
     def memory_object(self) -> Any:
-        return self._search.jaccard_lsh
+        return self._index.jaccard_lsh
 
     def query(self, request: QueryRequest):
         hits = sorted(
-            self._search.jaccard_baseline(
+            self._index.jaccard_baseline(
                 request.column, exclude_table=request.exclude_table
             )
         )[: request.k]

@@ -17,22 +17,16 @@ class JosieEngine(JoinIndexEngine):
     items_key = "sets"
 
     def stats(self) -> dict:
-        return self._search.josie.stats()
+        return self._index.josie.stats()
 
     def memory_object(self) -> Any:
-        return self._search.josie
+        return self._index.josie
 
     def query(self, request: QueryRequest):
-        if request.explain:
-            return self._search.exact_topk(
-                request.column,
-                request.k,
-                exclude_table=request.exclude_table,
-                explain=True,
-            )
-        return (
-            self._search.exact_topk(
-                request.column, request.k, exclude_table=request.exclude_table
-            ),
-            None,
+        res = self._index.exact_topk(
+            request.column,
+            request.k,
+            exclude_table=request.exclude_table,
+            explain=request.explain,
         )
+        return res if request.explain else (res, None)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.core.engine import (
     Engine,
     EngineContext,
@@ -23,24 +21,10 @@ class KeywordEngine(Engine):
     kind = "bm25"
     items_key = "documents"
 
-    def __init__(self) -> None:
-        super().__init__()
-        self._index: KeywordSearchEngine | None = None
-
     def build(self, ctx: EngineContext) -> None:
         self.ctx = ctx
         self._index = KeywordSearchEngine()
         self._index.index_lake(ctx.lake)
-
-    def is_built(self) -> bool:
-        return self._index is not None
-
-    @property
-    def raw(self) -> Any:
-        return self._index
-
-    def stats(self) -> dict:
-        return self._index.stats()
 
     def accepts(self, request: QueryRequest) -> bool:
         return bool(request.text)
@@ -49,10 +33,3 @@ class KeywordEngine(Engine):
         if request.explain:
             return self._index.search(request.text, request.k, explain=True)
         return self._index.search(request.text, request.k), None
-
-    def to_payload(self) -> Any:
-        return self._index
-
-    def from_payload(self, payload: Any, ctx: EngineContext) -> None:
-        self.ctx = ctx
-        self._index = payload

@@ -19,28 +19,25 @@ class LshEnsembleEngine(JoinIndexEngine):
     items_key = "keys"
 
     def stats(self) -> dict:
-        return self._search.ensemble.stats()
+        return self._index.ensemble.stats()
 
     def memory_object(self) -> Any:
-        return self._search.ensemble
+        return self._index.ensemble
 
     def query(self, request: QueryRequest):
         threshold = (
             request.threshold or self.ctx.config.containment_threshold
         )
-        if request.explain:
-            hits, report = self._search.containment(
-                request.column,
-                threshold,
-                exclude_table=request.exclude_table,
-                explain=True,
-            )
-            hits = hits[: request.k]
+        res = self._index.containment(
+            request.column,
+            threshold,
+            exclude_table=request.exclude_table,
+            explain=request.explain,
+        )
+        hits, report = res if request.explain else (res, None)
+        hits = hits[: request.k]
+        if report is not None:
             report.k = request.k
             report.stage("returned", len(hits))
             report.results = summarize_results(hits)
-            return hits, report
-        hits = self._search.containment(
-            request.column, threshold, exclude_table=request.exclude_table
-        )[: request.k]
-        return hits, None
+        return hits, report

@@ -24,10 +24,10 @@ class NavigationEngine(Engine):
     category = "navigation"
     query_label = "navigate"
     kind = "navigation-tree"
+    unavailable = "embeddings disabled"
 
     def __init__(self) -> None:
         super().__init__()
-        self._org: Organization | None = None
         self._table_vectors: dict = {}
 
     def build(self, ctx: EngineContext) -> None:
@@ -43,22 +43,11 @@ class NavigationEngine(Engine):
             self._table_vectors[table.name] = ctx.space.embed_set(values)
         if self._table_vectors:
             cfg = ctx.config
-            self._org = Organization.build(
+            self._index = Organization.build(
                 self._table_vectors,
                 branching=cfg.org_branching,
                 max_leaf_size=cfg.org_max_leaf,
             )
-
-    def is_built(self) -> bool:
-        return self._org is not None
-
-    @property
-    def raw(self) -> Any:
-        return self._org
-
-    @property
-    def organization(self) -> Organization | None:
-        return self._org
 
     @property
     def table_vectors(self) -> dict:
@@ -74,13 +63,13 @@ class NavigationEngine(Engine):
         """Navigate toward free-text intent; hits are the (unscored)
         table names at the reached node."""
         intent = self.ctx.space.embed_set(request.text.lower().split())
-        _, tables = self._org.navigate(intent)
+        _, tables = self._index.navigate(intent)
         return tables, None
 
     def to_payload(self) -> Any:
-        return {"org": self._org, "table_vectors": self._table_vectors}
+        return {"org": self._index, "table_vectors": self._table_vectors}
 
     def from_payload(self, payload: Any, ctx: EngineContext) -> None:
         self.ctx = ctx
-        self._org = payload["org"]
+        self._index = payload["org"]
         self._table_vectors = payload["table_vectors"]

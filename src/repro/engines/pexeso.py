@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.core.engine import (
     Engine,
     EngineContext,
@@ -23,10 +21,7 @@ class PexesoEngine(Engine):
     query_label = "fuzzy_join"
     kind = "vector-block"
     items_key = "columns"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._index: PexesoIndex | None = None
+    unavailable = "embeddings disabled"
 
     def build(self, ctx: EngineContext) -> None:
         self.ctx = ctx
@@ -36,37 +31,14 @@ class PexesoEngine(Engine):
             return
         self._index = PexesoIndex(ctx.space).build(ctx.lake)
 
-    def is_built(self) -> bool:
-        return self._index is not None
-
-    @property
-    def raw(self) -> Any:
-        return self._index
-
-    def stats(self) -> dict:
-        return self._index.stats()
-
     def accepts(self, request: QueryRequest) -> bool:
         return request.column is not None
 
     def query(self, request: QueryRequest):
-        if request.explain:
-            return self._index.search(
-                request.column,
-                request.k,
-                exclude_table=request.exclude_table,
-                explain=True,
-            )
-        return (
-            self._index.search(
-                request.column, request.k, exclude_table=request.exclude_table
-            ),
-            None,
+        res = self._index.search(
+            request.column,
+            request.k,
+            exclude_table=request.exclude_table,
+            explain=request.explain,
         )
-
-    def to_payload(self) -> Any:
-        return self._index
-
-    def from_payload(self, payload: Any, ctx: EngineContext) -> None:
-        self.ctx = ctx
-        self._index = payload
+        return res if request.explain else (res, None)

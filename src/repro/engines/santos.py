@@ -3,8 +3,6 @@
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.core.engine import (
     Engine,
     EngineContext,
@@ -24,23 +22,13 @@ class SantosEngine(Engine):
     depends_on = ("annotation",)
     query_label = "union"
     kind = "semantic-graph"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._search: SantosUnionSearch | None = None
+    unavailable = "no ontology"
 
     def build(self, ctx: EngineContext) -> None:
         self.ctx = ctx
         if ctx.ontology is None:
             return
-        self._search = SantosUnionSearch(ctx.lake, ctx.ontology).build()
-
-    def is_built(self) -> bool:
-        return self._search is not None
-
-    @property
-    def raw(self) -> Any:
-        return self._search
+        self._index = SantosUnionSearch(ctx.lake, ctx.ontology).build()
 
     def stats(self) -> dict:
         return {"tables": self.ctx.system.stats.tables}
@@ -52,7 +40,7 @@ class SantosEngine(Engine):
         return request.table is not None
 
     def query(self, request: QueryRequest):
-        hits = self._search.search(request.table, request.k)
+        hits = self._index.search(request.table, request.k)
         if request.explain:
             # SANTOS has no internal funnel; synthesize the summary report
             # the facade always produced.
@@ -63,10 +51,3 @@ class SantosEngine(Engine):
             report.results = summarize_results(hits)
             return hits, report
         return hits, None
-
-    def to_payload(self) -> Any:
-        return self._search
-
-    def from_payload(self, payload: Any, ctx: EngineContext) -> None:
-        self.ctx = ctx
-        self._search = payload

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Any
-
 from repro.core.engine import (
     Engine,
     EngineContext,
@@ -23,17 +21,14 @@ class StarmieEngine(Engine):
     query_label = "union"
     kind = "embeddings"
     items_key = "columns"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._search: StarmieUnionSearch | None = None
+    unavailable = "embeddings disabled"
 
     def build(self, ctx: EngineContext) -> None:
         self.ctx = ctx
         if ctx.encoder is None:
             return
         cfg = ctx.config
-        self._search = StarmieUnionSearch(
+        self._index = StarmieUnionSearch(
             ctx.lake,
             ctx.encoder,
             StarmieConfig(
@@ -42,16 +37,6 @@ class StarmieEngine(Engine):
                 ef_search=cfg.ef_search,
             ),
         ).build()
-
-    def is_built(self) -> bool:
-        return self._search is not None
-
-    @property
-    def raw(self) -> Any:
-        return self._search
-
-    def stats(self) -> dict:
-        return self._search.stats()
 
     def kind_of(self) -> str:
         if self.ctx is not None:
@@ -63,12 +48,5 @@ class StarmieEngine(Engine):
 
     def query(self, request: QueryRequest):
         if request.explain:
-            return self._search.search(request.table, request.k, explain=True)
-        return self._search.search(request.table, request.k), None
-
-    def to_payload(self) -> Any:
-        return self._search
-
-    def from_payload(self, payload: Any, ctx: EngineContext) -> None:
-        self.ctx = ctx
-        self._search = payload
+            return self._index.search(request.table, request.k, explain=True)
+        return self._index.search(request.table, request.k), None

@@ -47,20 +47,19 @@ class EmbeddingSpace:
         return self.vectors[i] if i is not None else None
 
     def embed_set(self, values, sample: int = 200) -> np.ndarray:
-        """Mean vector of (a sample of) the values; zero vector if none known."""
-        vals = list(values)
+        """Mean vector of (a sample of) the values; zero vector if none known.
+
+        The values are sorted before sampling and summing, so the result
+        does not depend on their iteration order (a set's order changes
+        with the interpreter's hash seed).
+        """
+        vals = sorted(str(v).lower() for v in values)
         if len(vals) > sample:
             vals = random.Random(0).sample(vals, sample)
-        acc = np.zeros(self.dim)
-        n = 0
-        for v in vals:
-            vec = self.vector(v)
-            if vec is not None:
-                acc += vec
-                n += 1
-        if n == 0:
-            return acc
-        acc /= n
+        idx = [i for i in map(self._index.get, vals) if i is not None]
+        if not idx:
+            return np.zeros(self.dim)
+        acc = self.vectors[idx].sum(axis=0) / len(idx)
         norm = np.linalg.norm(acc)
         return acc / norm if norm > 0 else acc
 

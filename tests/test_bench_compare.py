@@ -35,6 +35,19 @@ class TestTrajectory:
         assert loaded["experiment"] == "queries"
         assert loaded["records"][0]["latency_ms"] == 1.0
 
+    def test_write_creates_missing_directory(self, tmp_path):
+        t = BenchTrajectory("queries")
+        t.add("a", 1.0)
+        path = t.write(str(tmp_path / "out" / "bench"))
+        assert path == str(tmp_path / "out" / "bench" / "BENCH_queries.json")
+        assert BenchTrajectory.load(path)["records"][0]["latency_ms"] == 1.0
+
+    def test_write_to_json_file_path(self, tmp_path):
+        t = BenchTrajectory("queries")
+        path = t.write(str(tmp_path / "mine.json"))
+        assert path == str(tmp_path / "mine.json")
+        assert BenchTrajectory.load(path)["experiment"] == "queries"
+
     def test_add_timed_records_and_returns(self):
         t = BenchTrajectory("x")
         stats = t.add_timed("case", lambda: None, repeat=1, tag="v")

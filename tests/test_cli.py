@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from repro.core.cli import build_parser, main
+from repro.core.cli import build_parser, main, query_engines
+from repro.core.engine import FEDERATED_LABEL, REGISTRY
 from repro.datalake.generate import make_union_corpus
 from repro.datalake.lake import DataLake
 from repro.datalake.table import Table
@@ -254,6 +255,97 @@ class TestEnginesCommand:
         for name in self.EXPECTED - {"santos"}:
             assert by_name[name]["built"], name
             assert by_name[name]["items"] >= 0
+
+
+@pytest.fixture(scope="module")
+def wide_lake_dir(tmp_path_factory):
+    """30 tables sharing one value set: every column joins every other."""
+    directory = tmp_path_factory.mktemp("wide_lake")
+    values = [f"city{i}" for i in range(12)]
+    lake = DataLake(
+        [Table.from_dict(f"t{i:02d}", {"city": values}) for i in range(30)]
+    )
+    lake.save_to_directory(directory)
+    return directory
+
+
+class TestQueryCommand:
+    def test_engine_choices_cover_the_registry(self):
+        search = {c.name for c in REGISTRY.all() if c.category == "search"}
+        assert set(query_engines()) >= search | {FEDERATED_LABEL}
+        # the legacy spellings the docs and CI use keep working
+        assert set(query_engines()) >= {
+            "join", "containment", "fuzzy", "mate", "correlated", "union"
+        }
+
+    def test_k_above_twenty_prints_every_hit(self, wide_lake_dir, capsys):
+        args = ["query", str(wide_lake_dir), "--engine", "join"]
+        assert main(args + ["--table", "t00", "-k", "25"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 25
+
+    def test_registry_name_matches_legacy_name(self, lake_dir, capsys):
+        directory, corpus = lake_dir
+        qname = corpus.groups[0][0]
+        outputs = []
+        for engine in ("join", "josie"):
+            assert main(
+                ["query", str(directory), "--engine", engine, "--table", qname]
+            ) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].strip()
+
+    def test_federated_by_table(self, lake_dir, capsys):
+        directory, corpus = lake_dir
+        qname = corpus.groups[0][0]
+        assert main(
+            ["query", str(directory), "--engine", "federated", "--table", qname]
+        ) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines
+        assert all(line.split("\t")[0] != qname for line in lines)
+
+    def test_missing_input_names_the_flag(self, lake_dir):
+        directory, _ = lake_dir
+        with pytest.raises(SystemExit, match="--query is required"):
+            main(["query", str(directory), "--engine", "keyword"])
+        with pytest.raises(SystemExit, match="--table is required"):
+            main(["query", str(directory), "--engine", "josie"])
+
+    def test_unknown_method_rejected(self, lake_dir):
+        directory, corpus = lake_dir
+        with pytest.raises(SystemExit, match="unknown union method 'bogus'"):
+            main(
+                [
+                    "query", str(directory), "--engine", "union",
+                    "--method", "bogus", "--table", corpus.groups[0][0],
+                ]
+            )
+
+
+class TestCommandErrors:
+    """Library errors end a command with a one-line message and a
+    non-zero status, not a traceback."""
+
+    def test_unknown_table(self, lake_dir):
+        directory, _ = lake_dir
+        with pytest.raises(SystemExit) as exc:
+            main(["join", str(directory), "--table", "nope"])
+        assert exc.value.code == "repro join: no table named 'nope'"
+
+    def test_unavailable_engine(self, lake_dir):
+        directory, corpus = lake_dir
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "query", str(directory), "--engine", "union",
+                    "--method", "santos", "--table", corpus.groups[0][0],
+                ]
+            )
+        assert exc.value.code == (
+            "repro query: no ontology: santos unavailable"
+        )
 
 
 class TestSaveRoundTrip:

@@ -37,6 +37,34 @@ class TestEmbeddingSpace:
         v = space.embed_set(["a", "b"])
         assert np.linalg.norm(v) == pytest.approx(1.0)
 
+    def test_embed_set_independent_of_value_order(self):
+        """Over the 200-value sample size, two orders of the same values
+        must embed identically (a frozenset's order follows the hash
+        seed)."""
+        vocab = [f"v{i:03d}" for i in range(300)]
+        rng = np.random.default_rng(0)
+        space = EmbeddingSpace(vocab, rng.normal(size=(300, 8)))
+        shuffled = list(vocab)
+        np.random.default_rng(1).shuffle(shuffled)
+        assert np.array_equal(
+            space.embed_set(vocab), space.embed_set(shuffled)
+        )
+
+    def test_embed_set_matches_loop_reference(self):
+        """The vectorised mean equals a per-value loop over the same
+        sorted sample, to float64 rounding."""
+        import random
+
+        vocab = [f"v{i:03d}" for i in range(300)]
+        rng = np.random.default_rng(0)
+        space = EmbeddingSpace(vocab, rng.normal(size=(300, 8)))
+        values = vocab + ["unknown", "V007"]
+        sample = random.Random(0).sample(sorted(v.lower() for v in values), 200)
+        known = [space.vector(v) for v in sample if v in space]
+        ref = np.sum(known, axis=0) / len(known)
+        ref /= np.linalg.norm(ref)
+        assert np.allclose(space.embed_set(values), ref, rtol=0, atol=1e-12)
+
     def test_cosine_oov_zero(self):
         space = EmbeddingSpace(["a"], np.ones((1, 2)))
         assert space.cosine("a", "zzz") == 0.0

@@ -1,6 +1,6 @@
-"""Registry parity suite: the facade shims must return bit-identical
-results to direct engine-protocol queries, and snapshots must round-trip
-on the v2 per-engine payload format.
+"""Registry parity suite: the facade shims and ``DiscoverySystem.query``
+must return bit-identical results to direct engine-protocol queries, and
+snapshots must round-trip on the v2 per-engine payload format.
 
 The refactor promise is "same results, new seam": every pre-refactor
 query path (all explain-capable engines, navigation, related_columns)
@@ -12,11 +12,14 @@ import json
 import pytest
 
 from repro.core.config import DiscoveryConfig
-from repro.core.engine import QueryRequest
+from repro.core.engine import REGISTRY, QueryRequest
 from repro.core.errors import SnapshotError
 from repro.core.snapshot import FORMAT_VERSION, read_manifest
 from repro.core.system import DiscoverySystem
 from repro.datalake.table import ColumnRef
+from repro.obs import QUERY_LOG
+
+SEARCH = [c.name for c in REGISTRY.all() if c.category == "search"]
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +102,9 @@ class TestFacadeParity:
         )
         assert report is None
         expected = sorted(
-            system._joinable.jaccard_baseline(column, exclude_table=qname)
+            system.engines["jaccard_lsh"].raw.jaccard_baseline(
+                column, exclude_table=qname
+            )
         )[:5]
         assert direct == expected
 
@@ -174,17 +179,100 @@ class TestFacadeParity:
             ColumnRef(qname, 0)
         )[:5]
 
-    def test_legacy_private_views_alias_adapters(self, system):
-        """The read-only back-compat properties see the adapters' state."""
-        assert system._keyword is system.engines["keyword"].raw
-        assert system._joinable is system.engines["josie"].raw
-        # The three join engines share one JoinableSearch instance.
+    def test_join_engines_share_one_index(self, system):
         assert (
             system.engines["josie"].raw
             is system.engines["lshensemble"].raw
             is system.engines["jaccard_lsh"].raw
         )
-        assert system._org is system.engines["organization"].organization
+
+
+def shim_cases(system, qname):
+    """Search engine name -> (its facade call, the equivalent request)."""
+    table = system.lake.table(qname)
+    ref = ColumnRef(qname, 0)
+    column = system.lake.column(ref)
+    by_column = QueryRequest(
+        column=column, k=5, exclude_table=qname, explain=True
+    )
+    by_table = QueryRequest(table=table, k=5, explain=True)
+    cases = {
+        "keyword": (
+            lambda: system.keyword_search("concept", k=5, explain=True),
+            QueryRequest(text="concept", k=5, explain=True),
+        ),
+        "josie": (
+            lambda: system.joinable_search(ref, k=5, explain=True),
+            by_column,
+        ),
+        "lshensemble": (
+            lambda: system.joinable_search(
+                ref, k=5, method="containment", explain=True
+            ),
+            by_column,
+        ),
+        # No facade method: the baseline's own JoinableSearch call.
+        "jaccard_lsh": (
+            lambda: (
+                sorted(
+                    system.engines["jaccard_lsh"].raw.jaccard_baseline(
+                        column, exclude_table=qname
+                    )
+                )[:5],
+                None,
+            ),
+            by_column,
+        ),
+        "pexeso": (
+            lambda: system.fuzzy_joinable_search(ref, k=5, explain=True),
+            by_column,
+        ),
+        "mate": (
+            lambda: system.multi_attribute_search(
+                table, [0, 1], k=5, explain=True
+            ),
+            QueryRequest(table=table, key_columns=(0, 1), k=5, explain=True),
+        ),
+        "qcr": (
+            lambda: system.correlated_search(qname, 0, 1, k=5, explain=True),
+            QueryRequest(
+                table=table, key_column=0, value_column=1, k=5, explain=True
+            ),
+        ),
+    }
+    for method in ("tus", "starmie", "santos"):
+        cases[method] = (
+            lambda m=method: system.unionable_search(
+                qname, k=5, method=m, explain=True
+            ),
+            by_table,
+        )
+    return cases
+
+
+class TestQueryParity:
+    """``DiscoverySystem.query`` vs the matching facade shim."""
+
+    def test_every_search_engine_has_a_case(self, system, union_corpus):
+        cases = shim_cases(system, union_corpus.groups[0][0])
+        assert set(cases) == set(SEARCH)
+
+    @pytest.mark.parametrize("name", SEARCH)
+    def test_query_matches_shim(self, system, union_corpus, name):
+        shim, request = shim_cases(system, union_corpus.groups[0][0])[name]
+        hits, report = system.query(name, request)
+        assert QUERY_LOG.records()[-1].engine == REGISTRY.get(name).query_label
+        shim_hits, shim_report = shim()
+        assert hits == shim_hits
+        assert_same_report(report, shim_report)
+
+    def test_without_explain_returns_hits_only(self, system):
+        hits = system.query("keyword", QueryRequest(text="concept", k=5))
+        assert hits == system.keyword_search("concept", k=5)
+
+    def test_unknown_engine_rejected(self, system):
+        with pytest.raises(ValueError, match="unknown engine"):
+            system.query("warp-drive", QueryRequest(text="x"))
 
 
 class TestSnapshotRoundTrip:

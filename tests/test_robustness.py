@@ -101,11 +101,11 @@ class TestPipelineSurvives:
 
 class TestDegenerateQueries:
     def test_empty_column_query(self, system):
-        res = system._joinable.exact_topk(Column("empty", []), k=3)
+        res = system.engines["josie"].raw.exact_topk(Column("empty", []), k=3)
         assert res == []
 
     def test_all_null_column_query(self, system):
-        res = system._joinable.exact_topk(
+        res = system.engines["josie"].raw.exact_topk(
             Column("nulls", ["", "NA", "null"]), k=3
         )
         assert res == []
@@ -114,14 +114,14 @@ class TestDegenerateQueries:
         numeric_only = Table.from_dict(
             "nums", {"a": ["1", "2"], "b": ["3", "4"]}
         )
-        res = system._tus.search(numeric_only, k=3)
+        res = system.engines["tus"].raw.search(numeric_only, k=3)
         assert res == []
 
     def test_starmie_query_numeric_only(self, system):
         numeric_only = Table.from_dict(
             "nums2", {"a": ["1", "2"], "b": ["3", "4"]}
         )
-        res = system._starmie.search(numeric_only, k=3)
+        res = system.engines["starmie"].raw.search(numeric_only, k=3)
         assert res == []
 
 
