@@ -121,8 +121,9 @@ class EngineContext:
         """Build-or-get a structure shared by several engines of one stage.
 
         The first engine of the stage to ask pays for the build; the rest
-        reuse it.  Stages run single-threaded, so no locking is needed
-        beyond the per-stage serialization the DAG already provides.
+        reuse it.  ``build(jobs>1)`` runs stages on concurrent threads, but
+        a stage builds its engines one after another and every sharer of
+        one key sits in one stage, so no locking is needed.
         """
         if key not in self._shared:
             self._shared[key] = factory()

@@ -57,7 +57,10 @@ log = get_logger("core.snapshot")
 #: Bumped whenever the payload layout changes incompatibly.
 #: Version 2: per-engine payloads keyed by registry name (version 1 stored
 #: a fixed attribute list and is refused by this code).
-FORMAT_VERSION = 2
+#: Version 3: the PEXESO payload is one stacked value-vector matrix with
+#: per-column offsets instead of an HNSW graph; a version-2 payload would
+#: unpickle into an index that lacks those attributes and fail at query time.
+FORMAT_VERSION = 3
 
 MANIFEST_NAME = "manifest.json"
 PAYLOAD_NAME = "payload.pkl"

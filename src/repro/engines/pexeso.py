@@ -13,7 +13,7 @@ from repro.search.pexeso import PexesoIndex
 
 @register_engine
 class PexesoEngine(Engine):
-    """Embedding-space blocked fuzzy joinable search."""
+    """Exact embedding-space fuzzy joinable search."""
 
     name = "pexeso"
     stage = "union_index"

@@ -4,14 +4,17 @@ Exact equi-join search misses columns whose values are *semantically* equal
 but syntactically different (synonyms, formatting).  PEXESO embeds values
 into vectors and declares a query value matched if some candidate value lies
 within a cosine threshold; a column is joinable if enough query values
-match.  The reproduction follows the block-and-verify design: an HNSW index
-over all candidate value vectors blocks the search, then candidate columns
-are verified with exact cosine matching.
+match.  PEXESO's paper prunes candidates with a lossless pivot-based filter
+before verifying them; at the lake sizes reproduced here no pruning is
+needed.  The index stores the value vectors of every text column as one
+contiguous matrix, with per-column row offsets, and a query scores every
+column exactly: a matrix product of the query vectors against that matrix,
+then a maximum over each column's rows.  Results therefore equal
+:func:`exact_fuzzy_join_fraction` column for column.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +24,11 @@ from repro.datalake.table import Column, ColumnRef
 from repro.obs import METRICS, TRACER
 from repro.search.explain import ExplainReport, summarize_results
 from repro.search.results import ColumnResult
-from repro.sketch.hnsw import HNSW
 from repro.understanding.embedding import EmbeddingSpace
+
+#: Query vectors multiplied against the lake matrix at once; bounds the
+#: similarity block a query holds to QUERY_CHUNK x (indexed vectors).
+QUERY_CHUNK = 32
 
 
 @dataclass
@@ -30,53 +36,54 @@ class PexesoConfig:
     tau: float = 0.8  # cosine threshold for a value match
     sigma: float = 0.5  # fraction of query values that must match
     max_values_per_column: int = 150
-    hnsw_m: int = 8
-    ef_search: int = 48
 
 
 class PexesoIndex:
-    """Vector-blocked fuzzy-join index over a lake's text columns."""
+    """Exact fuzzy-join index over a lake's text columns."""
 
     def __init__(self, space: EmbeddingSpace, config: PexesoConfig | None = None):
         self.space = space
         self.config = config or PexesoConfig()
-        self._hnsw: HNSW | None = None
-        #: column ref -> matrix of its (sampled) value vectors
-        self._column_vectors: dict[ColumnRef, np.ndarray] = {}
+        #: (value vectors x dim) for every indexed column, stacked; None
+        #: until build()
+        self._matrix: np.ndarray | None = None
+        #: indexed columns, in matrix order
+        self._refs: list[ColumnRef] = []
+        #: first matrix row of each column in ``_refs`` (strictly
+        #: increasing: columns without vectors are not indexed)
+        self._offsets = np.zeros(0, dtype=np.intp)
 
     def build(self, lake: DataLake) -> "PexesoIndex":
-        cfg = self.config
-        self._hnsw = HNSW(dim=self.space.dim, m=cfg.hnsw_m, metric="cosine")
+        refs, mats = [], []
         for ref, col in lake.iter_text_columns():
-            vectors = []
-            for vid, value in enumerate(sorted(col.value_set())):
-                if vid >= cfg.max_values_per_column:
-                    break
-                vec = self.space.vector(value)
-                if vec is not None:
-                    vectors.append(vec)
-                    self._hnsw.add((ref, vid), vec)
-            if vectors:
-                self._column_vectors[ref] = np.vstack(vectors)
+            vectors = self._vectors(col)
+            if len(vectors):
+                refs.append(ref)
+                mats.append(vectors)
                 METRICS.inc("index.pexeso.vectors_indexed", len(vectors))
                 METRICS.inc("index.pexeso.columns_indexed")
+        self._refs = refs
+        self._matrix = np.vstack(mats) if mats else np.zeros((0, self.space.dim))
+        self._offsets = np.cumsum([0] + [len(m) for m in mats])[:-1]
         return self
 
     def stats(self) -> dict:
-        """Introspection: blocked vector volume plus the backing HNSW."""
+        """Introspection: indexed vector volume and its per-column skew."""
         from repro.obs.introspect import summarize_distribution
 
+        n = 0 if self._matrix is None else len(self._matrix)
         return {
-            "columns": len(self._column_vectors),
-            "vectors": sum(m.shape[0] for m in self._column_vectors.values()),
+            "columns": len(self._refs),
+            "vectors": n,
             "dim": self.space.dim,
             "vectors_per_column": summarize_distribution(
-                m.shape[0] for m in self._column_vectors.values()
+                np.diff(self._offsets, append=n).tolist()
             ),
-            "hnsw": self._hnsw.stats() if self._hnsw is not None else {},
         }
 
-    def _query_vectors(self, column: Column) -> np.ndarray:
+    def _vectors(self, column: Column) -> np.ndarray:
+        """Vectors of the column's first ``max_values_per_column`` sorted
+        values; out-of-vocabulary values are dropped."""
         vecs = []
         for value in sorted(column.value_set())[: self.config.max_values_per_column]:
             v = self.space.vector(value)
@@ -93,73 +100,54 @@ class PexesoIndex:
     ):
         """Top-k fuzzy-joinable columns.
 
-        Block: for each query value vector, HNSW retrieves near neighbours;
-        columns hit by >= sigma * |Q| distinct query values are candidates.
-        Verify: exact cosine match fraction via a matrix product.  With
-        ``explain=True`` returns ``(hits, ExplainReport)``.
+        A column's score is the exact fraction of query vectors with a
+        cosine >= tau match among its vectors; columns scoring >= sigma are
+        returned.  With ``explain=True`` returns ``(hits, ExplainReport)``.
         """
-        if self._hnsw is None:
+        if self._matrix is None:
             raise RuntimeError("call build() before searching")
         cfg = self.config
-        qvecs = self._query_vectors(column)
+        qvecs = self._vectors(column)
         if len(qvecs) == 0:
             if explain:
                 return [], ExplainReport(
                     "pexeso", query="<no embeddable query values>", k=k
                 )
             return []
-        hits_per_column: dict[ColumnRef, set[int]] = defaultdict(set)
-        for qi in range(len(qvecs)):
-            for (ref, _vid), dist in self._hnsw.search(
-                qvecs[qi], k=8, ef=cfg.ef_search
-            ):
-                if dist <= 1.0 - cfg.tau:
-                    if exclude_table is None or ref.table != exclude_table:
-                        hits_per_column[ref].add(qi)
-        min_hits = max(1, int(0.5 * cfg.sigma * len(qvecs)))
+        matched = np.zeros(len(self._refs), dtype=np.intp)
+        for start in range(0, len(qvecs), QUERY_CHUNK):
+            sims = qvecs[start : start + QUERY_CHUNK] @ self._matrix.T
+            best = np.maximum.reduceat(sims, self._offsets, axis=1)
+            matched += np.count_nonzero(best >= cfg.tau, axis=0)
         candidates = [
-            ref for ref, qids in hits_per_column.items() if len(qids) >= min_hits
+            i
+            for i in np.flatnonzero(matched)
+            if exclude_table is None or self._refs[i].table != exclude_table
         ]
         results = []
-        for ref in candidates:
-            frac = self._verify(qvecs, ref)
+        for i in candidates:
+            frac = float(matched[i] / len(qvecs))
             if frac >= cfg.sigma:
-                results.append(ColumnResult(ref, frac))
+                results.append(ColumnResult(self._refs[i], frac))
         METRICS.inc("search.pexeso.queries")
-        METRICS.inc("search.pexeso.columns_blocked", len(hits_per_column))
         METRICS.inc("search.pexeso.candidates_verified", len(candidates))
         METRICS.inc("search.pexeso.results_returned", len(results))
-        sp = TRACER.current()
-        sp.set("pexeso.columns_blocked", len(hits_per_column))
-        sp.set("pexeso.candidates_verified", len(candidates))
+        TRACER.current().set("pexeso.candidates_verified", len(candidates))
         out = sorted(results)[:k]
         if explain:
             report = ExplainReport(
                 "pexeso",
                 query=f"column<{len(qvecs)} vectors>",
                 k=k,
-                params={
-                    "tau": cfg.tau,
-                    "sigma": cfg.sigma,
-                    "ef_search": cfg.ef_search,
-                },
+                params={"tau": cfg.tau, "sigma": cfg.sigma},
             )
-            report.stage("columns_indexed", len(self._column_vectors))
-            report.stage("columns_blocked", len(hits_per_column))
-            report.stage("candidates_verified", len(candidates), min_hits=min_hits)
+            report.stage("columns_indexed", len(self._refs))
+            report.stage("candidates_verified", len(candidates))
             report.stage("passed_sigma", len(results))
             report.stage("returned", len(out))
             report.results = summarize_results(out)
             return out, report
         return out
-
-    def _verify(self, qvecs: np.ndarray, ref: ColumnRef) -> float:
-        """Exact fraction of query vectors with a cosine >= tau match."""
-        cand = self._column_vectors.get(ref)
-        if cand is None or len(cand) == 0:
-            return 0.0
-        sims = qvecs @ cand.T  # unit vectors: dot = cosine
-        return float(np.mean(sims.max(axis=1) >= self.config.tau))
 
 
 def exact_fuzzy_join_fraction(

@@ -52,7 +52,9 @@ class HNSW:
         self._links: list[list[set[int]]] = []
         self._entry: int | None = None
         self._max_level = -1
-        #: lifetime count of distance evaluations (inserts + queries)
+        #: lifetime count of distance evaluations made by inserts; a query
+        #: counts its own and leaves this field alone, so concurrent
+        #: queries neither write to the index nor see each other's work
         self.distance_computations = 0
 
     def __len__(self) -> int:
@@ -71,7 +73,6 @@ class HNSW:
         return v
 
     def _dist(self, v: np.ndarray, node: int) -> float:
-        self.distance_computations += 1
         u = self._vectors[node]
         if self.metric == "cosine":
             return 1.0 - float(np.dot(v, u))
@@ -111,11 +112,13 @@ class HNSW:
         ep = self._entry
         # Greedy descent through layers above the node's top level.
         for layer in range(self._max_level, level, -1):
-            ep = self._greedy_step(v, ep, layer)
+            ep, ndist = self._greedy_step(v, ep, layer)
+            self.distance_computations += ndist
 
         # Beam search + link at each shared layer.
         for layer in range(min(level, self._max_level), -1, -1):
-            cands = self._search_layer(v, [ep], layer, self.ef_construction)
+            cands, ndist = self._search_layer(v, [ep], layer, self.ef_construction)
+            self.distance_computations += ndist
             limit = self.m0 if layer == 0 else self.m
             neighbours = self._select_neighbours(v, cands, limit)
             for d, nb in neighbours:
@@ -137,30 +140,36 @@ class HNSW:
             return
         v = self._vectors[node]
         ranked = sorted(links, key=lambda nb: self._dist(v, nb))
+        self.distance_computations += len(links)
         keep = set(ranked[:limit])
         for nb in links - keep:
             self._links[nb][layer].discard(node)
         self._links[node][layer] = keep
 
-    def _greedy_step(self, v: np.ndarray, ep: int, layer: int) -> int:
-        """Greedy walk to the local minimum on one layer."""
+    def _greedy_step(self, v: np.ndarray, ep: int, layer: int) -> tuple[int, int]:
+        """Greedy walk to the local minimum on one layer; returns the node
+        reached and the number of distances computed."""
         cur, cur_d = ep, self._dist(v, ep)
+        ndist = 1
         improved = True
         while improved:
             improved = False
             for nb in self._links[cur][layer] if layer < len(self._links[cur]) else ():
                 d = self._dist(v, nb)
+                ndist += 1
                 if d < cur_d:
                     cur, cur_d = nb, d
                     improved = True
-        return cur
+        return cur, ndist
 
     def _search_layer(
         self, v: np.ndarray, entry_points: list[int], layer: int, ef: int
-    ) -> list[tuple[float, int]]:
-        """Beam search on one layer; returns (distance, node) sorted ascending."""
+    ) -> tuple[list[tuple[float, int]], int]:
+        """Beam search on one layer; returns (distance, node) pairs sorted
+        ascending and the number of distances computed."""
         visited = set(entry_points)
         candidates = [(self._dist(v, ep), ep) for ep in entry_points]
+        ndist = len(candidates)
         heapq.heapify(candidates)
         # Max-heap of current best ef results via negated distance.
         results = [(-d, n) for d, n in candidates]
@@ -176,13 +185,14 @@ class HNSW:
                     continue
                 visited.add(nb)
                 dn = self._dist(v, nb)
+                ndist += 1
                 if len(results) < ef or dn < -results[0][0]:
                     heapq.heappush(candidates, (dn, nb))
                     heapq.heappush(results, (-dn, nb))
                     if len(results) > ef:
                         heapq.heappop(results)
         out = sorted((-nd, n) for nd, n in results)
-        return out
+        return out, ndist
 
     def _select_neighbours(
         self, v: np.ndarray, cands: list[tuple[float, int]], limit: int
@@ -224,14 +234,15 @@ class HNSW:
         """Approximate k nearest neighbours as (key, distance), ascending."""
         if self._entry is None:
             return []
-        before = self.distance_computations
         v = self._prep(vector)
         ef = max(ef or max(2 * k, self.ef_construction // 2), k)
         ep = self._entry
+        ndist = 0
         for layer in range(self._max_level, 0, -1):
-            ep = self._greedy_step(v, ep, layer)
-        found = self._search_layer(v, [ep], 0, ef)
-        ndist = self.distance_computations - before
+            ep, n = self._greedy_step(v, ep, layer)
+            ndist += n
+        found, n = self._search_layer(v, [ep], 0, ef)
+        ndist += n
         METRICS.inc("index.hnsw.queries")
         METRICS.inc("index.hnsw.distance_computations", ndist)
         sp = TRACER.current()

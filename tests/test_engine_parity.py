@@ -276,12 +276,12 @@ class TestQueryParity:
 
 
 class TestSnapshotRoundTrip:
-    def test_v2_manifest_and_identical_queries(
+    def test_manifest_and_identical_queries(
         self, system, union_corpus, tmp_path
     ):
         snapdir = tmp_path / "snap"
         manifest = system.save(snapdir)
-        assert manifest.format_version == FORMAT_VERSION == 2
+        assert manifest.format_version == FORMAT_VERSION == 3
         assert set(manifest.engines) == set(system.engines)
         on_disk = read_manifest(snapdir)
         assert on_disk.engines == manifest.engines
@@ -295,6 +295,9 @@ class TestSnapshotRoundTrip:
         assert loaded.unionable_search(
             qname, k=5, method="tus"
         ) == system.unionable_search(qname, k=5, method="tus")
+        assert loaded.fuzzy_joinable_search(
+            ref, k=5
+        ) == system.fuzzy_joinable_search(ref, k=5)
         assert loaded.navigate("concept_000") == system.navigate(
             "concept_000"
         )
@@ -312,12 +315,13 @@ class TestSnapshotRoundTrip:
             is loaded.engines["jaccard_lsh"].raw
         )
 
-    def test_old_format_version_refused(self, system, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_format_version_refused(self, system, tmp_path, version):
         snapdir = tmp_path / "snap_old"
         system.save(snapdir)
         manifest_path = snapdir / "manifest.json"
         doc = json.loads(manifest_path.read_text(encoding="utf-8"))
-        doc["format_version"] = 1
+        doc["format_version"] = version
         manifest_path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(SnapshotError, match="format version"):
             DiscoverySystem.load(snapdir)

@@ -1,10 +1,14 @@
 """Unit + property tests for the HNSW graph index."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core.errors import IndexError_
 from repro.sketch.hnsw import HNSW, brute_force_knn
 
@@ -109,6 +113,59 @@ class TestSearchQuality:
             h.add(k, v)
         for q in (0, 50, 100):
             assert h.search(vecs[q], k=1, ef=64)[0][0] == q
+
+
+class TestConcurrentSearch:
+    def test_threads_see_only_their_own_distance_counts(self):
+        """A query's span reports its own distance computations, and
+        queries from many threads return what they return serially."""
+        vecs = _random_vectors(300, 8, seed=7)
+        h = HNSW(dim=8, seed=7)
+        for k, v in vecs.items():
+            h.add(k, v)
+        build_count = h.distance_computations
+        was_enabled = obs.TRACER.enabled
+        obs.TRACER.enable()
+
+        def run(q):
+            with obs.TRACER.span("test.hnsw.query", force=True) as sp:
+                res = h.search(vecs[q], k=5, ef=32)
+            return res, sp.attrs["hnsw.distance_computations"]
+
+        queries = list(range(0, 300, 10))
+        try:
+            serial = {q: run(q) for q in queries}
+            got: dict[int, list] = {q: [] for q in queries}
+            errors: list[BaseException] = []
+            start = threading.Barrier(8)
+
+            def worker(tid):
+                try:
+                    start.wait()
+                    for q in queries[tid % 2 :: 2] * 3:
+                        got[q].append(run(q))
+                except BaseException as exc:  # pragma: no cover - failure path
+                    errors.append(exc)
+
+            old_interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+            finally:
+                sys.setswitchinterval(old_interval)
+        finally:
+            if not was_enabled:
+                obs.TRACER.disable()
+            obs.TRACER.reset()
+        assert not errors
+        for q in queries:
+            assert got[q]
+            assert all(r == serial[q] for r in got[q])
+        assert h.distance_computations == build_count
 
 
 class TestBruteForce:
